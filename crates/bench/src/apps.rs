@@ -1,7 +1,7 @@
-//! The swf-apps benchmark scenario: every application × every execution
+//! The swf-apps benchmark scenarios: one application in every execution
 //! venue, with runtime-expansion statistics and the cross-venue bitwise
-//! equality verdict. Shared between the `apps` binary and the suite's
-//! `apps` label.
+//! equality verdict. The suite's `apps` label runs one scenario per
+//! application.
 
 use swf_apps::{AppKind, AppRun};
 use swf_workloads::ExecEnv;
@@ -9,10 +9,8 @@ use swf_workloads::ExecEnv;
 /// The three venues, in canonical order.
 pub const ENVS: [ExecEnv; 3] = [ExecEnv::Native, ExecEnv::Container, ExecEnv::Serverless];
 
-/// One app × venue execution.
+/// One venue's execution of the application.
 pub struct AppsRow {
-    /// Application label.
-    pub app: &'static str,
     /// Venue label.
     pub env: ExecEnv,
     /// End-to-end makespan in virtual seconds (all rounds plus expansion
@@ -32,23 +30,19 @@ pub struct AppsRow {
     pub obs: swf_obs::Obs,
 }
 
-/// The full apps scenario result.
+/// One application's scenario result.
 pub struct AppsResult {
-    /// One row per app × venue, app-major in canonical order.
+    /// The application.
+    pub app: AppKind,
+    /// One row per venue, in [`ENVS`] order.
     pub rows: Vec<AppsRow>,
 }
 
 impl AppsResult {
-    /// Rows of one app, in venue order.
-    pub fn app_rows(&self, app: &str) -> Vec<&AppsRow> {
-        self.rows.iter().filter(|r| r.app == app).collect()
-    }
-
-    /// True when every venue of `app` produced the same output bytes and
-    /// the same expanded DAG shape.
-    pub fn bitwise_equal(&self, app: &str) -> bool {
-        let rows = self.app_rows(app);
-        rows.windows(2).all(|w| {
+    /// True when every venue produced the same output bytes and the same
+    /// expanded DAG shape.
+    pub fn bitwise_equal(&self) -> bool {
+        self.rows.windows(2).all(|w| {
             w[0].output_fingerprint == w[1].output_fingerprint
                 && w[0].shape_fingerprint == w[1].shape_fingerprint
         })
@@ -56,45 +50,33 @@ impl AppsResult {
 
     /// The deterministic `virtual` section of the scenario document.
     pub fn to_json(&self) -> serde_json::Value {
-        let mut apps = serde_json::Map::new();
-        for kind in AppKind::ALL {
-            let label = kind.label();
-            let app_rows = self.app_rows(label);
-            if app_rows.is_empty() {
-                // A filtered run (`apps --app <name>`) skips the others.
-                continue;
+        let mut envs = serde_json::Map::new();
+        for row in &self.rows {
+            let mut expansions = serde_json::Map::new();
+            for (trigger, jobs_added) in &row.expansions {
+                expansions.insert(trigger.clone(), serde_json::Value::from(*jobs_added));
             }
-            let mut envs = serde_json::Map::new();
-            for row in app_rows {
-                let mut expansions = serde_json::Map::new();
-                for (trigger, jobs_added) in &row.expansions {
-                    expansions.insert(trigger.clone(), serde_json::Value::from(*jobs_added));
-                }
-                let mut obj = serde_json::Map::new();
-                obj.insert("makespan_s", serde_json::Value::from(row.makespan));
-                obj.insert("rounds", serde_json::Value::from(row.rounds));
-                obj.insert("jobs", serde_json::Value::from(row.jobs));
-                obj.insert("expansions", serde_json::Value::Object(expansions));
-                obj.insert(
-                    "output_fp",
-                    serde_json::Value::from(format!("{:016x}", row.output_fingerprint)),
-                );
-                obj.insert(
-                    "shape_fp",
-                    serde_json::Value::from(format!("{:016x}", row.shape_fingerprint)),
-                );
-                envs.insert(row.env.to_string(), serde_json::Value::Object(obj));
-            }
-            let mut app_obj = serde_json::Map::new();
-            app_obj.insert(
-                "bitwise_equal",
-                serde_json::Value::from(self.bitwise_equal(label)),
+            let mut obj = serde_json::Map::new();
+            obj.insert("makespan_s", serde_json::Value::from(row.makespan));
+            obj.insert("rounds", serde_json::Value::from(row.rounds));
+            obj.insert("jobs", serde_json::Value::from(row.jobs));
+            obj.insert("expansions", serde_json::Value::Object(expansions));
+            obj.insert(
+                "output_fp",
+                serde_json::Value::from(format!("{:016x}", row.output_fingerprint)),
             );
-            app_obj.insert("envs", serde_json::Value::Object(envs));
-            apps.insert(label.to_string(), serde_json::Value::Object(app_obj));
+            obj.insert(
+                "shape_fp",
+                serde_json::Value::from(format!("{:016x}", row.shape_fingerprint)),
+            );
+            envs.insert(row.env.to_string(), serde_json::Value::Object(obj));
         }
         let mut root = serde_json::Map::new();
-        root.insert("apps", serde_json::Value::Object(apps));
+        root.insert(
+            "bitwise_equal",
+            serde_json::Value::from(self.bitwise_equal()),
+        );
+        root.insert("envs", serde_json::Value::Object(envs));
         serde_json::Value::Object(root)
     }
 
@@ -102,29 +84,22 @@ impl AppsResult {
     pub fn collectors(&self) -> Vec<(String, swf_obs::Obs)> {
         self.rows
             .iter()
-            .map(|r| (format!("apps/{}/{}", r.app, r.env), r.obs.clone()))
+            .map(|r| (format!("apps/{}/{}", self.app, r.env), r.obs.clone()))
             .collect()
     }
 }
 
-/// Run every application in every venue at quick or paper scale, tracing
+/// Run one application in every venue at quick or paper scale, tracing
 /// on (the scenario document wants populated span collectors).
-pub fn run_apps(quick: bool) -> AppsResult {
-    run_apps_only(quick, &AppKind::ALL)
-}
-
-/// Run a subset of the applications (the `apps` binary's `--app` filter)
-/// in every venue.
-pub fn run_apps_only(quick: bool, kinds: &[AppKind]) -> AppsResult {
-    let mut rows = Vec::new();
-    for &kind in kinds {
-        for env in ENVS {
-            let mut run = AppRun::quick(kind, env).with_trace();
+pub fn run_app_scenario(app: AppKind, quick: bool) -> AppsResult {
+    let rows = ENVS
+        .iter()
+        .map(|&env| {
+            let mut run = AppRun::quick(app, env).with_trace();
             run.quick = quick;
             let outcome = swf_apps::run_app(&run)
-                .unwrap_or_else(|e| panic!("apps bench: {kind} in {env}: {e}"));
-            rows.push(AppsRow {
-                app: kind.label(),
+                .unwrap_or_else(|e| panic!("apps bench: {app} in {env}: {e}"));
+            AppsRow {
                 env,
                 makespan: outcome.report.makespan.as_secs_f64(),
                 rounds: outcome.report.rounds.len(),
@@ -138,10 +113,10 @@ pub fn run_apps_only(quick: bool, kinds: &[AppKind]) -> AppsResult {
                 output_fingerprint: outcome.output_fingerprint,
                 shape_fingerprint: outcome.report.shape_fingerprint(),
                 obs: outcome.obs,
-            });
-        }
-    }
-    AppsResult { rows }
+            }
+        })
+        .collect();
+    AppsResult { app, rows }
 }
 
 /// Render the apps scenario as a human-readable table.
@@ -158,28 +133,24 @@ pub fn apps_report(r: &AppsResult) -> String {
             "bitwise",
         ],
     );
+    let bitwise = if r.bitwise_equal() { "ok" } else { "MISMATCH" };
     for row in &r.rows {
         let max_fanout = row.expansions.iter().map(|(_, n)| *n).max().unwrap_or(0);
         t.row(&[
-            row.app.to_string(),
+            r.app.to_string(),
             row.env.to_string(),
             format!("{:.2}", row.makespan),
             row.rounds.to_string(),
             row.jobs.to_string(),
             max_fanout.to_string(),
-            if r.bitwise_equal(row.app) {
-                "ok"
-            } else {
-                "MISMATCH"
-            }
-            .to_string(),
+            bitwise.to_string(),
         ]);
     }
     let mut s = t.render();
     s.push_str("\nexpansions (trigger → jobs added, native venue):\n");
     for row in r.rows.iter().filter(|r| r.env == ExecEnv::Native) {
         for (trigger, n) in &row.expansions {
-            s.push_str(&format!("  {}/{trigger}: +{n}\n", row.app));
+            s.push_str(&format!("  {}/{trigger}: +{n}\n", r.app));
         }
     }
     s

@@ -22,7 +22,8 @@
 
 use swf_bench::record::ScenarioMeter;
 use swf_bench::{
-    cli_config, dump_observability, emit_scenario_json, install_cli_obs, is_quick, json_out,
+    cli_config, dump_observability, emit_scenario_json, flag_value, install_cli_obs, is_quick,
+    json_out,
 };
 use swf_chaos::{run_chaos, ChaosProfile, ChaosRunConfig, FaultPlan, SERVICE};
 use swf_core::experiments::setup_header;
@@ -32,19 +33,7 @@ use swf_simcore::secs;
 /// sweeps a half-open range, `--seeds <n>` sweeps `0..n`, and the default
 /// is `0..8` under `--quick`, `0..32` otherwise.
 fn seed_list() -> Vec<u64> {
-    let args: Vec<String> = std::env::args().collect();
-    let value_of = |flag: &str| -> Option<String> {
-        for (i, a) in args.iter().enumerate() {
-            if a == flag {
-                return args.get(i + 1).cloned();
-            }
-            if let Some(v) = a.strip_prefix(&format!("{flag}=")) {
-                return Some(v.to_string());
-            }
-        }
-        None
-    };
-    if let Some(v) = value_of("--seed") {
+    if let Some(v) = flag_value("--seed", "a number") {
         match v.parse() {
             Ok(n) => return vec![n],
             Err(_) => {
@@ -53,7 +42,7 @@ fn seed_list() -> Vec<u64> {
             }
         }
     }
-    if let Some(v) = value_of("--seed-range") {
+    if let Some(v) = flag_value("--seed-range", "a range <a>..<b>") {
         if let Some((a, b)) = v.split_once("..") {
             if let (Ok(a), Ok(b)) = (a.parse::<u64>(), b.parse::<u64>()) {
                 if a < b {
@@ -64,7 +53,7 @@ fn seed_list() -> Vec<u64> {
         eprintln!("error: --seed-range requires <a>..<b> with a < b, got {v:?}");
         std::process::exit(2);
     }
-    if let Some(v) = value_of("--seeds") {
+    if let Some(v) = flag_value("--seeds", "a number") {
         match v.parse::<u64>() {
             Ok(n) => return (0..n).collect(),
             Err(_) => {
@@ -85,24 +74,8 @@ fn seed_list() -> Vec<u64> {
 /// [`swf_chaos::UnknownProfile`] error: the sweep refuses to run rather
 /// than silently falling back to the default profile.
 fn profile_from_args() -> (String, ChaosProfile) {
-    let args: Vec<String> = std::env::args().collect();
-    let mut name: Option<String> = None;
-    for (i, a) in args.iter().enumerate() {
-        if a == "--profile" {
-            match args.get(i + 1) {
-                Some(v) if !v.starts_with('-') => name = Some(v.clone()),
-                _ => {
-                    eprintln!("error: --profile requires a name argument");
-                    std::process::exit(2);
-                }
-            }
-        }
-        if let Some(v) = a.strip_prefix("--profile=") {
-            name = Some(v.to_string());
-        }
-    }
-    let name = name.unwrap_or_else(|| {
-        if args.iter().any(|a| a == "--heavy") {
+    let name = flag_value("--profile", "a name argument").unwrap_or_else(|| {
+        if std::env::args().any(|a| a == "--heavy") {
             "heavy".to_string()
         } else {
             "light".to_string()

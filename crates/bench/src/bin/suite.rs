@@ -1,52 +1,38 @@
 //! The unified benchmark suite and perf-regression gate.
 //!
-//! Run every figure scenario (fig1, fig2, fig5, fig6, coldstart,
-//! ablations) with span collection on, and write one machine-readable
-//! `BENCH_<label>.json` at the workspace root — per-scenario virtual-time
-//! results, swf-obs metrics/critical-path snapshots, and the host-side
-//! engine profile (build with `--features host-profiling` for wall-clock
-//! and events/sec). Or compare two recorded documents, classifying every
+//! Run every scenario of a label with span collection on, print each
+//! scenario's report, and write one machine-readable `BENCH_<label>.json`
+//! at the workspace root — per-scenario virtual-time results, swf-obs
+//! metrics/critical-path snapshots, and the host-side engine profile
+//! (build with `--features host-profiling` for wall-clock and
+//! events/sec). Or compare two recorded documents, classifying every
 //! delta as drift (virtual-time change — always an error), regression /
 //! improvement (wall-clock beyond the noise threshold), or info.
 //!
 //! Usage:
-//!   cargo run --release -p swf-bench --bin suite -- [--quick] [--label <l>] [--json <path>] [--trace-out <path>] [--spans-out <path>] [--series-out <path>]
+//!   cargo run --release -p swf-bench --bin suite -- [--quick] [--label <l>] [--scenario <name>] [--json <path>] [--trace-out <path>] [--spans-out <path>] [--series-out <path>]
 //!   cargo run --release -p swf-bench --bin suite -- --list
 //!   cargo run --release -p swf-bench --bin suite -- compare <old.json> <new.json> [--noise <frac>] [--fail-on-regression]
 //!
-//! `--label apps` runs the swf-apps scenario set (every application ×
-//! every venue) instead of the figure scenarios, writing
-//! `BENCH_apps.json`. `--list` enumerates every label and its scenarios.
+//! The `quick`/`paper` labels run the figure scenarios (fig1, fig2,
+//! fig5, fig6, coldstart, ablations); `--label apps` runs one scenario
+//! per swf-apps application (every venue each) and `--label elastic` the
+//! autoscaled-cluster cost comparison. `--scenario <name>` runs one
+//! scenario of the label; its document entry is bit-identical to the
+//! same scenario's entry in the full run, and the default record path
+//! becomes `BENCH_<label>_<name>.json`. An unknown label or scenario
+//! exits 2 listing the valid names. `--list` enumerates every label and
+//! its scenarios.
 //!
-//! `--trace-out` additionally writes the whole suite as one Chrome-trace
-//! file (the same export as the figure binaries' `--trace` flags).
-//! `--spans-out` writes the lossless `swf-spans/v1` export — the `obsq`
-//! query CLI's input. `--series-out` writes every scenario's sampled
-//! telemetry time series. All three are deterministic: running the suite
-//! twice produces byte-identical files.
+//! `--trace-out` additionally writes the run as one Chrome-trace file
+//! (Perfetto / `chrome://tracing`). `--spans-out` writes the lossless
+//! `swf-spans/v1` export — the `obsq` query CLI's input. `--series-out`
+//! writes every scenario's sampled telemetry time series. All three are
+//! deterministic: running the suite twice produces byte-identical files.
 
 use swf_bench::record::{json_out, workspace_root};
-use swf_bench::suite::{run_suite, scenario_names};
-use swf_bench::{is_quick, trace_out, write_chrome_trace};
-
-fn flag_value(args: &[String], name: &str) -> Option<String> {
-    let eq = format!("{name}=");
-    for (i, a) in args.iter().enumerate() {
-        if a == name {
-            match args.get(i + 1) {
-                Some(v) if !v.starts_with('-') => return Some(v.clone()),
-                _ => {
-                    eprintln!("error: {name} requires a value");
-                    std::process::exit(2);
-                }
-            }
-        }
-        if let Some(v) = a.strip_prefix(&eq) {
-            return Some(v.to_string());
-        }
-    }
-    None
-}
+use swf_bench::suite::{check_label, run_scenario, run_suite, scenario_names, LABELS};
+use swf_bench::{flag_value, is_quick, trace_out, write_chrome_trace};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -58,36 +44,53 @@ fn main() {
         list_main();
         return;
     }
-    run_main(&args);
+    run_main();
 }
 
 fn list_main() {
     println!("## suite — labels and their scenarios");
-    for (label, note) in [
-        ("quick", "figure scenarios at CI scale (--quick default)"),
-        ("paper", "figure scenarios at paper scale (default)"),
-        ("apps", "swf-apps: every application × every venue"),
-        (
-            "elastic",
-            "swf-elastic: autoscaled spot pool vs static cluster, with cost ledger",
-        ),
-    ] {
-        println!("  {label:<6} {}", scenario_names(label).join(", "));
-        println!("  {:<6}   {note}", "");
+    let notes = [
+        "figure scenarios at CI scale (--quick default)",
+        "figure scenarios at paper scale (default)",
+        "swf-apps: one scenario per application, every venue each",
+        "swf-elastic: autoscaled spot pool vs static cluster, with cost ledger",
+    ];
+    for (label, note) in LABELS.iter().zip(notes) {
+        println!("  {label:<7} {}", scenario_names(label).join(", "));
+        println!("  {:<7}   {note}", "");
     }
-    println!("run one with: suite [--quick] --label <label>");
+    println!("run one with: suite [--quick] --label <label> [--scenario <name>]");
 }
 
-fn run_main(args: &[String]) {
+/// Exit 2 on a selection error, naming the valid choices.
+fn or_exit<T>(result: Result<T, swf_bench::suite::UnknownName>) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    })
+}
+
+fn run_main() {
     let quick = is_quick();
-    let label = flag_value(args, "--label")
+    let label = flag_value("--label", "a value")
         .unwrap_or_else(|| if quick { "quick" } else { "paper" }.to_string());
-    let run = run_suite(&label, quick, |name| {
-        eprintln!(
-            "suite: running {name} ({})",
-            if quick { "quick" } else { "paper" }
-        );
-    });
+    or_exit(check_label(&label));
+    let scenario = flag_value("--scenario", "a value");
+    // Every output flag is read before the run, so a flag missing its
+    // value fails fast instead of after minutes of simulation.
+    let json_path = json_out();
+    let trace_path = trace_out();
+    let spans_path = flag_value("--spans-out", "a value");
+    let series_path = flag_value("--series-out", "a value");
+    let scale = if quick { "quick" } else { "paper" };
+    let narrate = |name: &str| eprintln!("suite: running {name} ({scale})");
+    let run = match &scenario {
+        Some(name) => or_exit(run_scenario(&label, quick, name, narrate)),
+        None => run_suite(&label, quick, narrate),
+    };
+    for report in &run.reports {
+        println!("{report}");
+    }
 
     // Per-scenario host summary.
     println!("## suite — host profile per scenario");
@@ -117,9 +120,13 @@ fn run_main(args: &[String]) {
         ),
     }
 
-    let path = json_out().unwrap_or_else(|| {
+    let path = json_path.unwrap_or_else(|| {
+        let stem = match &scenario {
+            Some(name) => format!("BENCH_{label}_{name}"),
+            None => format!("BENCH_{label}"),
+        };
         workspace_root()
-            .join(format!("BENCH_{label}.json"))
+            .join(format!("{stem}.json"))
             .to_string_lossy()
             .into_owned()
     });
@@ -134,7 +141,7 @@ fn run_main(args: &[String]) {
         .iter()
         .map(|(l, o)| (l.as_str(), o))
         .collect();
-    if let Some(trace_path) = trace_out() {
+    if let Some(trace_path) = trace_path {
         match write_chrome_trace(&trace_path, &refs) {
             Ok(()) => println!("chrome trace written to {trace_path}"),
             Err(e) => {
@@ -143,7 +150,7 @@ fn run_main(args: &[String]) {
             }
         }
     }
-    if let Some(spans_path) = flag_value(args, "--spans-out") {
+    if let Some(spans_path) = spans_path {
         let doc = swf_obs::spans_to_json(&refs);
         if let Err(e) = std::fs::write(&spans_path, doc.to_string()) {
             eprintln!("error: failed to write spans to {spans_path}: {e}");
@@ -151,7 +158,7 @@ fn run_main(args: &[String]) {
         }
         println!("span export written to {spans_path}");
     }
-    if let Some(series_path) = flag_value(args, "--series-out") {
+    if let Some(series_path) = series_path {
         let doc = swf_bench::record::series_json(&refs);
         if let Err(e) = std::fs::write(&series_path, doc.to_string()) {
             eprintln!("error: failed to write series to {series_path}: {e}");
@@ -197,7 +204,7 @@ fn compare_main(args: &[String]) {
         );
         std::process::exit(2);
     };
-    let noise = match flag_value(args, "--noise") {
+    let noise = match flag_value("--noise", "a value") {
         Some(v) => match v.parse::<f64>() {
             Ok(f) if f >= 0.0 => f,
             _ => {

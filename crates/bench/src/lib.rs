@@ -1,12 +1,14 @@
 //! # swf-bench
 //!
-//! Shared rendering for the figure-regeneration binaries. Each binary runs
-//! its experiment at paper scale (or `--quick`) and prints the §V-A setup
-//! header, the reproduced rows, the fitted slopes, and the paper-reported
-//! values side by side. The `suite` binary runs every scenario in one go,
-//! writing the machine-readable `BENCH_*.json` record ([`record`]) that
-//! `suite compare` gates future changes against; [`ablations`] holds the
-//! ablation logic shared between its binary and the suite.
+//! The benchmark harness. The `suite` binary runs every paper scenario
+//! (`--scenario <name>` selects one) and prints each scenario's human
+//! report — the §V-A setup header, the reproduced rows, the fitted slopes
+//! and the paper-reported values side by side — while writing the
+//! machine-readable `BENCH_*.json` record ([`record`]) that `suite
+//! compare` gates future changes against. The `chaos` binary runs the
+//! fault-injection seed sweep. [`suite`] holds the scenario table;
+//! [`ablations`], [`apps`] and [`elastic`] hold the scenario logic that
+//! is more than one experiment call.
 
 #![warn(missing_docs)]
 
@@ -18,7 +20,7 @@ pub mod suite;
 
 pub use record::{emit_scenario_json, json_out, ScenarioMeter};
 
-use swf_core::experiments::{Fig1Result, Fig2Result, Fig5Result, Fig6Result};
+use swf_core::experiments::{ColdStartResult, Fig1Result, Fig2Result, Fig5Result, Fig6Result};
 use swf_core::ExperimentConfig;
 use swf_metrics::Table;
 
@@ -27,27 +29,33 @@ pub fn is_quick() -> bool {
     std::env::args().any(|a| a == "--quick" || a == "-q")
 }
 
-/// Parse the `--trace-out <path>` flag (also `--trace-out=<path>`).
-/// Exits with an error when the flag is present without a path, so the
-/// mistake surfaces before the experiment runs rather than as a silently
-/// untraced run.
-pub fn trace_out() -> Option<String> {
+/// The value of `--<flag> <value>` (also `--<flag>=<value>`) on the
+/// command line, first occurrence wins. Exits with status 2 and
+/// `error: <name> requires <what>` when the flag is present without a
+/// value, so the mistake surfaces before any experiment runs.
+pub fn flag_value(name: &str, what: &str) -> Option<String> {
     let args: Vec<String> = std::env::args().collect();
+    let eq = format!("{name}=");
     for (i, a) in args.iter().enumerate() {
-        if a == "--trace-out" {
+        if a == name {
             match args.get(i + 1) {
-                Some(p) if !p.starts_with('-') => return Some(p.clone()),
+                Some(v) if !v.starts_with('-') => return Some(v.clone()),
                 _ => {
-                    eprintln!("error: --trace-out requires a path argument");
+                    eprintln!("error: {name} requires {what}");
                     std::process::exit(2);
                 }
             }
         }
-        if let Some(p) = a.strip_prefix("--trace-out=") {
-            return Some(p.to_string());
+        if let Some(v) = a.strip_prefix(&eq) {
+            return Some(v.to_string());
         }
     }
     None
+}
+
+/// Parse the `--trace-out <path>` flag (also `--trace-out=<path>`).
+pub fn trace_out() -> Option<String> {
+    flag_value("--trace-out", "a path argument")
 }
 
 /// True when span collection is requested (`--trace`, or implied by
@@ -56,9 +64,9 @@ pub fn is_traced() -> bool {
     trace_out().is_some() || std::env::args().any(|a| a == "--trace")
 }
 
-/// The experiment config selected by the CLI flags.
-pub fn cli_config() -> ExperimentConfig {
-    let mut c = if is_quick() {
+/// The experiment config at quick or paper scale, tracing off.
+pub(crate) fn scale_config(quick: bool) -> ExperimentConfig {
+    if quick {
         let mut c = ExperimentConfig::quick();
         // Quick harness runs still use paper-shaped timing but small
         // matrices, so real compute stays cheap.
@@ -66,7 +74,12 @@ pub fn cli_config() -> ExperimentConfig {
         c
     } else {
         ExperimentConfig::paper()
-    };
+    }
+}
+
+/// The experiment config selected by the CLI flags.
+pub fn cli_config() -> ExperimentConfig {
+    let mut c = scale_config(is_quick());
     c.trace = is_traced();
     c
 }
@@ -280,6 +293,17 @@ pub fn fig6_report(r: &Fig6Result) -> String {
         }
     }
     s
+}
+
+/// Render the §III-B cold-start measurement.
+pub fn coldstart_report(r: &ColdStartResult) -> String {
+    format!(
+        "## §III-B cold start\n\
+         first request (cold): {:.3} s\n\
+         cold start (minus compute): {:.3} s   [paper: 1.48 s]\n\
+         warm request: {:.3} s\n",
+        r.first_request, r.cold_start, r.warm_request
+    )
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! Machine-readable benchmark records (`BENCH_*.json`).
 //!
-//! Every figure binary and the unified `suite` runner emit the same
-//! document shape, so individual runs and full-suite runs can be fed to
+//! The `suite` runner and the `chaos` sweep emit the same document
+//! shape, so single-scenario runs and full-suite runs can be fed to
 //! `suite compare` interchangeably:
 //!
 //! ```json
@@ -33,25 +33,9 @@ use swf_simcore::perf::{self, ExecProfile, HostStopwatch};
 /// Schema identifier stamped into every document.
 pub const SCHEMA: &str = "swf-bench/v1";
 
-/// Parse the `--json <path>` flag (also `--json=<path>`). Exits with an
-/// error when the flag is present without a path, mirroring `trace_out`.
+/// Parse the `--json <path>` flag (also `--json=<path>`).
 pub fn json_out() -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    for (i, a) in args.iter().enumerate() {
-        if a == "--json" {
-            match args.get(i + 1) {
-                Some(p) if !p.starts_with('-') => return Some(p.clone()),
-                _ => {
-                    eprintln!("error: --json requires a path argument");
-                    std::process::exit(2);
-                }
-            }
-        }
-        if let Some(p) = a.strip_prefix("--json=") {
-            return Some(p.to_string());
-        }
-    }
-    None
+    crate::flag_value("--json", "a path argument")
 }
 
 /// Measures one scenario's host-side cost: executor counter deltas plus
@@ -382,7 +366,7 @@ pub fn workspace_root() -> std::path::PathBuf {
 }
 
 /// Write a single-scenario document to the `--json` path when the flag
-/// is present: the uniform tail call of every figure binary.
+/// is present: the `chaos` binary's tail call.
 pub fn emit_scenario_json(
     name: &str,
     quick: bool,

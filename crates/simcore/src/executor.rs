@@ -23,9 +23,8 @@
 //!   coalesced by a per-task `queued` flag (cleared when a poll starts), so
 //!   a task is enqueued at most once per poll round and a wake costs two
 //!   index writes — no allocation, no locking.
-//! - **Timer wheel**: pending timers sit in the hierarchical wheel of
-//!   [`crate::wheel`], which advances to the next deadline by scanning
-//!   per-level occupancy bitmaps instead of popping a comparison heap.
+//! - **Timer queue**: pending timers sit in the binary min-heap of
+//!   [`crate::timers`], keyed by `(deadline, registration seq)`.
 
 use std::cell::{Cell, RefCell};
 use std::future::Future;
@@ -36,7 +35,7 @@ use std::task::{Context, Poll, RawWaker, RawWakerVTable, Waker};
 
 use crate::error::SimError;
 use crate::time::{SimDuration, SimTime};
-use crate::wheel::TimerWheel;
+use crate::timers::TimerQueue;
 
 /// Identifier of a spawned task: the slab slot index in the low 32 bits and
 /// the slot's generation at spawn time in the high 32 bits. Ids are unique
@@ -165,7 +164,7 @@ struct Inner {
     ready_tail: Cell<u32>,
     ready_len: Cell<usize>,
     live_tasks: Cell<usize>,
-    timers: RefCell<TimerWheel>,
+    timers: RefCell<TimerQueue>,
     next_timer_seq: Cell<u64>,
     steps: Cell<u64>,
     step_limit: Cell<u64>,
@@ -314,7 +313,7 @@ impl Sim {
                 ready_tail: Cell::new(NONE_IDX),
                 ready_len: Cell::new(0),
                 live_tasks: Cell::new(0),
-                timers: RefCell::new(TimerWheel::new()),
+                timers: RefCell::new(TimerQueue::default()),
                 next_timer_seq: Cell::new(0),
                 steps: Cell::new(0),
                 step_limit: Cell::new(u64::MAX),
@@ -429,15 +428,13 @@ impl Sim {
             cancelled: Cell::new(false),
         });
         if state.fired.get() {
-            // Born fired: a deadline at or before now never enters the wheel.
+            // Born fired: a deadline at or before now never enters the queue.
             crate::perf::note_timer_fired();
         } else {
-            self.inner.timers.borrow_mut().insert(
-                at.as_nanos(),
-                seq,
-                Rc::clone(&state),
-                self.now().as_nanos(),
-            );
+            self.inner
+                .timers
+                .borrow_mut()
+                .insert(at.as_nanos(), seq, Rc::clone(&state));
         }
         TimerHandle { state }
     }
@@ -512,7 +509,7 @@ impl Sim {
     /// Fire every timer scheduled for the earliest pending instant, advancing
     /// the clock to it. Returns false if no timers remain.
     fn advance_to_next_timer(&self) -> bool {
-        // The wheel skips cancelled timers without advancing time for them.
+        // The queue skips cancelled timers without advancing time for them.
         let Some((at, batch)) = self.inner.timers.borrow_mut().pop_next_due() else {
             return false;
         };
@@ -596,14 +593,14 @@ impl Sim {
 // Timers
 // ---------------------------------------------------------------------------
 
-/// Per-timer flags shared between the wheel entry and the owning future.
+/// Per-timer flags shared between the queue entry and the owning future.
 pub(crate) struct TimerState {
     /// Waker of the task awaiting this timer, if it has been polled.
     pub(crate) waker: RefCell<Option<Waker>>,
     /// Set when the deadline is reached (or at registration, for a
     /// deadline at or before now).
     pub(crate) fired: Cell<bool>,
-    /// Set by [`TimerHandle::cancel`]; the wheel drops the entry lazily.
+    /// Set by [`TimerHandle::cancel`]; the queue drops the entry lazily.
     pub(crate) cancelled: Cell<bool>,
 }
 
@@ -722,9 +719,7 @@ impl Drop for Sleep {
 /// at the next multiple of the period from the ticker's creation, so a
 /// periodic task (e.g. the swf-obs snapshot scheduler) fires on an
 /// exact, drift-free grid regardless of how long its body appears to
-/// take between awaits. Each tick is one wheel insert; the bitmap scan
-/// jumps straight to the grid point without visiting the empty slots in
-/// between.
+/// take between awaits. Each tick is one timer-queue insert.
 pub struct Interval {
     next: SimTime,
     period: SimDuration,

@@ -3,7 +3,7 @@
 //! and observability sections, and `swf_metrics::compare` must report
 //! neither drift nor regression between them.
 
-use swf_bench::suite::run_suite;
+use swf_bench::suite::{run_scenario, run_suite};
 
 /// Strip the host section (the only legitimately run-dependent part:
 /// wall-clock under `host-profiling`) so the rest can be compared as text.
@@ -79,6 +79,27 @@ fn quick_suite_is_bitwise_deterministic() {
                 .is_some_and(|r| !r.is_empty()),
             "scenario {name} slo section has no reports"
         );
+    }
+}
+
+#[test]
+fn single_scenario_run_matches_its_full_suite_entry() {
+    let full = run_suite("quick", true, |_| {});
+    // fig2 carries its own negotiator override; ablations runs last, after
+    // every other scenario has touched the thread-local state.
+    for name in ["fig2", "ablations"] {
+        let single = run_scenario("quick", true, name, |_| {}).expect("known scenario");
+        let scenarios = single.document["scenarios"]
+            .as_object()
+            .expect("scenarios object");
+        assert_eq!(scenarios.len(), 1, "{name} run carried other scenarios");
+        for section in ["virtual", "obs", "slo"] {
+            assert_eq!(
+                single.document["scenarios"][name][section].to_string(),
+                full.document["scenarios"][name][section].to_string(),
+                "{name}: {section} section differs from the full-suite entry"
+            );
+        }
     }
 }
 
