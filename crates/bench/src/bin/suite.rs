@@ -179,7 +179,7 @@ fn read_doc(path: &str) -> serde_json::Value {
     match serde_json::from_str(&text) {
         Ok(v) => v,
         Err(e) => {
-            eprintln!("error: {path} is not valid JSON: {e:?}");
+            eprintln!("error: {path} is not valid JSON: {e}");
             std::process::exit(2);
         }
     }

@@ -1,6 +1,7 @@
 //! The `suite` CLI rejects selections it does not know: a mistyped label
 //! or scenario exits 2 with the valid names, before any scenario runs or
-//! any record is written.
+//! any record is written. `suite compare` likewise exits 2 on a hostile
+//! document instead of crashing.
 
 use std::process::{Command, Output};
 
@@ -72,4 +73,19 @@ fn flags_missing_their_value_exit_2_before_running() {
         let out = suite(&["--quick", flag]);
         assert_rejected(&out, &[message]);
     }
+}
+
+#[test]
+fn compare_rejects_deeply_nested_json_without_aborting() {
+    let path = record_path("nested.json");
+    std::fs::write(&path, "[".repeat(1_000_000)).expect("write hostile document");
+    let p = path.to_str().unwrap();
+    let out = suite(&["compare", p, p]);
+    let _ = std::fs::remove_file(&path);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains("is not valid JSON: recursion limit exceeded at byte 128"),
+        "stderr: {stderr}"
+    );
 }

@@ -130,8 +130,7 @@ mod tests {
         let sim = Sim::new();
         sim.block_on(async {
             let fs = fast_fs();
-            fs.write("big", crate::bulk::zeroed_bytes(100_000_000))
-                .await;
+            fs.write("big", Bytes::from(vec![0u8; 100_000_000])).await;
             assert_eq!(now(), SimTime::ZERO + secs(1.0));
             fs.read("big").await.unwrap();
             assert_eq!(now(), SimTime::ZERO + secs(2.0));

@@ -306,7 +306,7 @@ mod tests {
         sim.block_on(async {
             let st = stack(2);
             spawn_echo(&st, NodeId(1), 8080);
-            let body = crate::bulk::zeroed_bytes(100_000_000);
+            let body = Bytes::from(vec![0u8; 100_000_000]);
             st.request(NodeId(0), NodeId(1), 8080, Request::post("/", body))
                 .await
                 .unwrap();

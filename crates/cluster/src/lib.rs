@@ -11,7 +11,6 @@
 
 #![warn(missing_docs)]
 
-pub mod bulk;
 pub mod cluster;
 pub mod disk;
 pub mod error;
@@ -22,7 +21,6 @@ pub mod network;
 pub mod node;
 pub mod units;
 
-pub use bulk::zeroed_bytes;
 pub use cluster::{Cluster, ClusterConfig};
 pub use disk::Disk;
 pub use error::ClusterError;
