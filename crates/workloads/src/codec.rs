@@ -43,14 +43,17 @@ impl std::error::Error for CodecError {}
 
 /// Encode a matrix.
 pub fn encode(m: &Matrix) -> Bytes {
-    let mut buf = BytesMut::with_capacity(m.as_slice().len().saturating_mul(8).saturating_add(12));
-    buf.put_slice(MAGIC);
-    buf.put_u32_le(m.rows() as u32);
-    buf.put_u32_le(m.cols() as u32);
-    for &v in m.as_slice() {
-        buf.put_i64_le(v);
+    let cells = m.as_slice();
+    let total = cells.len().saturating_mul(8).saturating_add(12);
+    let mut buf = Vec::with_capacity(total);
+    buf.extend_from_slice(MAGIC);
+    buf.extend_from_slice(&(m.rows() as u32).to_le_bytes());
+    buf.extend_from_slice(&(m.cols() as u32).to_le_bytes());
+    buf.resize(total, 0);
+    for (dst, v) in buf[12..].as_chunks_mut::<8>().0.iter_mut().zip(cells) {
+        *dst = v.to_le_bytes();
     }
-    buf.freeze()
+    Bytes::from(buf)
 }
 
 /// Decode a matrix.
@@ -73,10 +76,8 @@ pub fn decode(mut data: Bytes) -> Result<Matrix, CodecError> {
             actual: data.len(),
         });
     }
-    let mut v = Vec::with_capacity(rows * cols);
-    for _ in 0..rows * cols {
-        v.push(data.get_i64_le());
-    }
+    let cells = data.as_chunks::<8>().0;
+    let v = cells.iter().map(|&c| i64::from_le_bytes(c)).collect();
     Ok(Matrix::from_vec(rows, cols, v))
 }
 
@@ -200,52 +201,152 @@ mod tests {
         assert_eq!(decode(buf.freeze()), Err(CodecError::BadHeader));
     }
 
+    /// A well-formed header (magic, rows, cols) followed by `body`.
+    fn document(rows: u32, cols: u32, body: &[u8]) -> Bytes {
+        let mut buf = BytesMut::new();
+        buf.put_slice(MAGIC);
+        buf.put_u32_le(rows);
+        buf.put_u32_le(cols);
+        buf.put_slice(body);
+        buf.freeze()
+    }
+
+    fn full_range(r: usize, c: usize, seed: u64, stream: &str) -> Matrix {
+        let mut rng = DetRng::new(seed, stream);
+        Matrix::random(r, c, &mut rng, i64::MIN, i64::MAX)
+    }
+
+    #[test]
+    fn encoding_is_magic_shape_then_little_endian_cells() {
+        let m = Matrix::from_vec(1, 3, vec![1, -2, i64::MIN]);
+        let mut want = b"SWFM\x01\0\0\0\x03\0\0\0".to_vec();
+        for v in [1i64, -2, i64::MIN] {
+            want.extend_from_slice(&v.to_le_bytes());
+        }
+        assert_eq!(encode(&m).as_ref(), want.as_slice());
+    }
+
+    #[test]
+    fn odd_trailing_bytes_are_rejected() {
+        let m = full_range(2, 3, 2, "trail");
+        let pair = encode_pair(&m, &m);
+        for extra in 1..=9 {
+            let mut long = encode(&m).to_vec();
+            long.extend(std::iter::repeat_n(0xA5, extra));
+            assert_eq!(
+                decode(Bytes::from(long)),
+                Err(CodecError::Truncated {
+                    expected: 48,
+                    actual: 48 + extra
+                })
+            );
+            let mut long = pair.to_vec();
+            long.extend(std::iter::repeat_n(0xA5, extra));
+            assert!(decode_pair(Bytes::from(long)).is_err());
+        }
+    }
+
+    #[test]
+    fn pair_length_prefix_mutations_are_typed_errors() {
+        let m = full_range(2, 2, 3, "prefix");
+        let pair = encode_pair(&m, &m).to_vec();
+        for alen in [0u64, 1, 11, 12, 43, 45, u64::MAX] {
+            let mut bad = pair.clone();
+            bad[..8].copy_from_slice(&alen.to_le_bytes());
+            assert!(decode_pair(Bytes::from(bad)).is_err(), "alen {alen}");
+        }
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
         #[test]
-        fn roundtrip_prop(seed in 0u64..500, r in 1usize..20, c in 1usize..20) {
-            let mut rng = DetRng::new(seed, "rt");
-            let m = Matrix::random(r, c, &mut rng, i64::MIN / 4, i64::MAX / 4);
-            prop_assert_eq!(decode(encode(&m)).unwrap(), m);
-        }
-
-        #[test]
-        fn nonsquare_roundtrip_prop(seed in 0u64..500, r in 0usize..24, c in 0usize..24) {
-            // Includes empty and 1×1 shapes; rows ≠ cols most of the time.
-            let mut rng = DetRng::new(seed, "rt-nsq");
-            let m = Matrix::random(r, c, &mut rng, -1000, 1000);
+        fn roundtrip_prop(seed in 0u64..500, r in 0usize..20, c in 0usize..20) {
+            // Full-range entries, and 0×n / n×0 shapes.
+            let m = full_range(r, c, seed, "rt");
             let enc = encode(&m);
             prop_assert_eq!(enc.len(), encoded_size(r, c));
             prop_assert_eq!(decode(enc).unwrap(), m);
         }
 
         #[test]
-        fn truncation_never_panics(seed in 0u64..500, r in 0usize..12, c in 0usize..12, cut in 1usize..64) {
-            // Every proper prefix of a valid encoding decodes to an error,
-            // never a panic or a bogus matrix.
-            let mut rng = DetRng::new(seed, "rt-cut");
-            let m = Matrix::random(r, c, &mut rng, -10, 10);
-            let enc = encode(&m);
-            let keep = enc.len().saturating_sub(cut);
-            prop_assert!(decode(enc.slice(0..keep)).is_err());
+        fn pair_roundtrip_prop(seed in 0u64..500, n in 0usize..9, k in 0usize..9, m in 0usize..9) {
+            let a = full_range(n, k, seed, "pa");
+            let b = full_range(k, m, seed, "pb");
+            let (da, db) = decode_pair(encode_pair(&a, &b)).unwrap();
+            prop_assert_eq!(da, a);
+            prop_assert_eq!(db, b);
         }
 
         #[test]
-        fn random_bytes_never_panic(seed in 0u64..500, len in 0usize..96) {
-            let mut rng = DetRng::new(seed, "rt-junk");
-            let junk: Vec<u8> = (0..len).map(|_| rng.uniform_u64(0, 255) as u8).collect();
-            // Any result is fine — the decoder just must not panic.
-            let _ = decode(Bytes::from(junk));
+        fn truncation_never_panics(seed in 0u64..500, r in 0usize..6, c in 0usize..6) {
+            // Every proper prefix of a valid document, alone and in a pair,
+            // decodes to a typed error, never a panic or a bogus matrix.
+            let a = full_range(r, c, seed, "cut-a");
+            let b = full_range(c, r, seed, "cut-b");
+            let enc = encode(&a);
+            for keep in 0..enc.len() {
+                let want = if keep < 12 {
+                    CodecError::BadHeader
+                } else {
+                    CodecError::Truncated { expected: r * c * 8, actual: keep - 12 }
+                };
+                prop_assert_eq!(decode(enc.slice(0..keep)), Err(want));
+            }
+            let pair = encode_pair(&a, &b);
+            for keep in 0..pair.len() {
+                prop_assert!(decode_pair(pair.slice(0..keep)).is_err(), "pair prefix {}", keep);
+            }
         }
 
         #[test]
-        fn pair_truncation_never_panics(seed in 0u64..200, cut in 1usize..48) {
-            let mut rng = DetRng::new(seed, "pair-cut");
-            let a = Matrix::random(3, 4, &mut rng, -10, 10);
-            let b = Matrix::random(4, 2, &mut rng, -10, 10);
-            let enc = encode_pair(&a, &b);
-            let keep = enc.len().saturating_sub(cut);
-            prop_assert!(decode_pair(enc.slice(0..keep)).is_err());
+        fn random_bytes_never_panic(junk in prop::collection::vec(any::<u8>(), 0..96)) {
+            prop_assert!(decode(Bytes::from(junk.clone())).is_err());
+            prop_assert!(decode_pair(Bytes::from(junk)).is_err());
+        }
+
+        #[test]
+        fn random_bodies_behind_the_magic_never_panic(
+            rows in any::<u32>(),
+            cols in any::<u32>(),
+            body in prop::collection::vec(any::<u8>(), 0..96),
+        ) {
+            // Shape arithmetic over the whole u32 domain, including
+            // `rows × cols × 8` overflowing usize.
+            let expected = (rows as usize)
+                .checked_mul(cols as usize)
+                .and_then(|cells| cells.checked_mul(8));
+            let got = decode(document(rows, cols, &body));
+            match expected {
+                None => prop_assert_eq!(got, Err(CodecError::BadHeader)),
+                Some(e) if e == body.len() => {
+                    let m = got.unwrap();
+                    prop_assert_eq!((m.rows(), m.cols()), (rows as usize, cols as usize));
+                }
+                Some(e) => prop_assert_eq!(
+                    got,
+                    Err(CodecError::Truncated { expected: e, actual: body.len() })
+                ),
+            }
+        }
+
+        #[test]
+        fn header_mutations_are_typed_errors(
+            seed in 0u64..500,
+            r in 1usize..8,
+            c in 1usize..8,
+            at in 0usize..12,
+            flip in 1u8..=255,
+        ) {
+            // One corrupted header byte: a bad magic, or a shape that no
+            // longer matches the body (possibly an overflowing one).
+            let m = full_range(r, c, seed, "hdr");
+            let mut bad = encode(&m).to_vec();
+            bad[at] ^= flip;
+            let got = decode(Bytes::from(bad));
+            prop_assert!(got.is_err(), "byte {} ^ {:#x} decoded", at, flip);
+            if at < 4 {
+                prop_assert_eq!(got, Err(CodecError::BadHeader));
+            }
         }
     }
 }

@@ -1,8 +1,9 @@
 //! # swf-workloads
 //!
 //! The paper's workload, for real: dense integer matrices (350×350, entries
-//! in [-100, 100]), three agreeing matmul kernels (naive / blocked /
-//! rayon-parallel), a binary codec for files and pass-by-value request
+//! in [-100, 100]), bit-identical matmul kernels (a naive reference and
+//! one register-tiled body compiled per x86 ISA level, whole or over row
+//! panels), a binary codec for files and pass-by-value request
 //! payloads, workflow-shape generators (Fig. 3 chains, Fig. 4 concurrent
 //! sets with random environment assignment), and a compute-time calibration
 //! harness connecting real kernel runtime to the simulator's charged time.

@@ -1,10 +1,15 @@
 //! Matrix multiplication kernels.
 //!
 //! Three implementations of the paper's task: a naive triple loop (the
-//! honest Python-equivalent), a cache-blocked transposed kernel, and a
-//! rayon row-parallel kernel. All produce identical results; property tests
-//! pin the algebra, and the calibration harness measures the real runtime
-//! to parameterize the simulator's compute model.
+//! honest Python-equivalent), a register-tiled i-k-j kernel, and the same
+//! tiled body run over row panels. The tiled body is written once and
+//! compiled three ways (AVX-512, AVX2 and the baseline target); each call
+//! picks the widest tier the CPU reports. Wrapping `i64` addition is
+//! associative and commutative mod 2⁶⁴, so every loop order and every tier
+//! yields exactly the naive kernel's bits: the determinism contract holds
+//! with no tolerance, on any host. Property tests pin the algebra, and the
+//! calibration harness measures the real runtime to parameterize the
+//! simulator's compute model.
 
 use rayon::prelude::*;
 
@@ -16,12 +21,17 @@ pub enum Kernel {
     /// Triple nested loop, row-major (closest to the paper's NumPy-free
     /// baseline semantics).
     Naive,
-    /// Transpose-B then dot rows (cache friendly).
+    /// Register-tiled i-k-j: four output rows are updated at a time, each
+    /// by one broadcast element of A times one streamed row of B, compiled
+    /// for the widest vector ISA the CPU reports.
     #[default]
     Blocked,
-    /// Row-parallel with rayon.
+    /// The `Blocked` body run over row panels of the output.
     Parallel,
 }
+
+/// Output rows per panel of [`Kernel::Parallel`].
+const PANEL_ROWS: usize = 32;
 
 /// Multiply `a × b` with the chosen kernel.
 ///
@@ -59,41 +69,124 @@ fn naive(a: &Matrix, b: &Matrix) -> Matrix {
     out
 }
 
-fn dot(x: &[i64], y: &[i64]) -> i64 {
-    x.iter()
-        .zip(y)
-        .fold(0i64, |acc, (&a, &b)| acc.wrapping_add(a.wrapping_mul(b)))
-}
-
 fn blocked(a: &Matrix, b: &Matrix) -> Matrix {
-    let bt = b.transpose();
-    let (n, m) = (a.rows(), b.cols());
-    let mut out = Matrix::zeros(n, m);
-    for i in 0..n {
-        for j in 0..m {
-            out.set(i, j, dot(a.row(i), bt.row(j)));
-        }
-    }
+    let mut out = Matrix::zeros(a.rows(), b.cols());
+    accumulate(
+        a.as_slice(),
+        b.as_slice(),
+        out.data_mut(),
+        a.cols(),
+        b.cols(),
+    );
     out
 }
 
 fn parallel(a: &Matrix, b: &Matrix) -> Matrix {
-    let bt = b.transpose();
-    let (n, m) = (a.rows(), b.cols());
-    let mut out = Matrix::zeros(n, m);
-    {
-        let cols = m;
-        out.data_mut()
-            .par_chunks_mut(cols)
-            .enumerate()
-            .for_each(|(i, row_out)| {
-                let arow = a.row(i);
-                for (j, cell) in row_out.iter_mut().enumerate() {
-                    *cell = dot(arow, bt.row(j));
-                }
-            });
+    let (k, m) = (a.cols(), b.cols());
+    let mut out = Matrix::zeros(a.rows(), m);
+    if m == 0 {
+        return out;
     }
+    out.data_mut()
+        .par_chunks_mut(PANEL_ROWS * m)
+        .enumerate()
+        .for_each(|(p, panel)| {
+            let first = p * PANEL_ROWS * k;
+            let rows = panel.len() / m;
+            accumulate(
+                &a.as_slice()[first..first + rows * k],
+                b.as_slice(),
+                panel,
+                k,
+                m,
+            );
+        });
     out
+}
+
+/// Add `a × b` into `out`, where `b` is `k × m` and `a` and `out` hold the
+/// same number of rows (`k` and `m` wide), with the widest tier the CPU
+/// reports.
+fn accumulate(a: &[i64], b: &[i64], out: &mut [i64], k: usize, m: usize) {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    {
+        if has_avx512() {
+            // SAFETY: `has_avx512` checks with `is_x86_feature_detected!`
+            // every feature `tier_avx512` is compiled for.
+            return unsafe { tier_avx512(a, b, out, k, m) };
+        }
+        if is_x86_feature_detected!("avx2") {
+            // SAFETY: the `is_x86_feature_detected!("avx2")` check above
+            // confirms the one feature `tier_avx2` is compiled for.
+            return unsafe { tier_avx2(a, b, out, k, m) };
+        }
+    }
+    tier_baseline(a, b, out, k, m);
+}
+
+/// Does the CPU report every feature [`tier_avx512`] is compiled for?
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+fn has_avx512() -> bool {
+    is_x86_feature_detected!("avx512f")
+        && is_x86_feature_detected!("avx512dq")
+        && is_x86_feature_detected!("avx512vl")
+        && is_x86_feature_detected!("avx2")
+}
+
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx512f,avx512dq,avx512vl,avx2")]
+unsafe fn tier_avx512(a: &[i64], b: &[i64], out: &mut [i64], k: usize, m: usize) {
+    tiled(a, b, out, k, m);
+}
+
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+#[target_feature(enable = "avx2")]
+unsafe fn tier_avx2(a: &[i64], b: &[i64], out: &mut [i64], k: usize, m: usize) {
+    tiled(a, b, out, k, m);
+}
+
+fn tier_baseline(a: &[i64], b: &[i64], out: &mut [i64], k: usize, m: usize) {
+    tiled(a, b, out, k, m);
+}
+
+/// The one kernel body, inlined into each tier so each compiles it for its
+/// own ISA. For every quad of output rows and every `l`, the four elements
+/// `a[i..i + 4][l]` are broadcast against row `l` of B and added into the
+/// four rows; the quad's rows (4·m values) stay in L1 while B streams past.
+/// Rows left over after the last quad take the same path one at a time.
+#[inline(always)]
+fn tiled(a: &[i64], b: &[i64], out: &mut [i64], k: usize, m: usize) {
+    if k == 0 || m == 0 {
+        return;
+    }
+    let mut a_quads = a.chunks_exact(4 * k);
+    let mut out_quads = out.chunks_exact_mut(4 * m);
+    for (aq, oq) in (&mut a_quads).zip(&mut out_quads) {
+        let (a0, rest) = aq.split_at(k);
+        let (a1, rest) = rest.split_at(k);
+        let (a2, a3) = rest.split_at(k);
+        let (o0, rest) = oq.split_at_mut(m);
+        let (o1, rest) = rest.split_at_mut(m);
+        let (o2, o3) = rest.split_at_mut(m);
+        for (l, brow) in b.chunks_exact(m).enumerate() {
+            let (x0, x1, x2, x3) = (a0[l], a1[l], a2[l], a3[l]);
+            let rows = o0.iter_mut().zip(o1.iter_mut()).zip(o2.iter_mut());
+            for (((c0, c1), c2), (c3, &y)) in rows.zip(o3.iter_mut().zip(brow)) {
+                *c0 = c0.wrapping_add(x0.wrapping_mul(y));
+                *c1 = c1.wrapping_add(x1.wrapping_mul(y));
+                *c2 = c2.wrapping_add(x2.wrapping_mul(y));
+                *c3 = c3.wrapping_add(x3.wrapping_mul(y));
+            }
+        }
+    }
+    let a_rest = a_quads.remainder().chunks_exact(k);
+    for (arow, orow) in a_rest.zip(out_quads.into_remainder().chunks_exact_mut(m)) {
+        for (&x, brow) in arow.iter().zip(b.chunks_exact(m)) {
+            for (c, &y) in orow.iter_mut().zip(brow) {
+                *c = c.wrapping_add(x.wrapping_mul(y));
+            }
+        }
+    }
 }
 
 #[cfg(test)]
@@ -101,6 +194,57 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use swf_simcore::DetRng;
+
+    /// A compiled tier of the tiled body, called directly.
+    type Tier = fn(&[i64], &[i64], &mut [i64], usize, usize);
+
+    /// Every tier the running CPU can execute; the baseline always.
+    fn tiers() -> Vec<(&'static str, Tier)> {
+        let mut tiers: Vec<(&'static str, Tier)> = vec![("baseline", tier_baseline)];
+        #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+        {
+            if is_x86_feature_detected!("avx2") {
+                // SAFETY: only reachable after the CPU reported avx2.
+                tiers.push(("avx2", |a, b, o, k, m| unsafe { tier_avx2(a, b, o, k, m) }));
+            }
+            if has_avx512() {
+                // SAFETY: only reachable after `has_avx512` confirmed
+                // every feature the tier is compiled for.
+                tiers.push(("avx512", |a, b, o, k, m| unsafe {
+                    tier_avx512(a, b, o, k, m)
+                }));
+            }
+        }
+        tiers
+    }
+
+    fn run_tier(tier: Tier, a: &Matrix, b: &Matrix) -> Matrix {
+        let mut out = Matrix::zeros(a.rows(), b.cols());
+        tier(
+            a.as_slice(),
+            b.as_slice(),
+            out.data_mut(),
+            a.cols(),
+            b.cols(),
+        );
+        out
+    }
+
+    /// Every tier and every public kernel equals `Kernel::Naive`, bit for bit.
+    fn assert_all_match_naive(a: &Matrix, b: &Matrix) {
+        let want = matmul(a, b, Kernel::Naive);
+        let shape = (a.rows(), a.cols(), b.cols());
+        for (name, tier) in tiers() {
+            assert_eq!(run_tier(tier, a, b), want, "tier {name}, n×k×m {shape:?}");
+        }
+        assert_eq!(matmul(a, b, Kernel::Blocked), want, "Blocked {shape:?}");
+        assert_eq!(matmul(a, b, Kernel::Parallel), want, "Parallel {shape:?}");
+    }
+
+    fn full_range(r: usize, c: usize, seed: u64, stream: &str) -> Matrix {
+        let mut rng = DetRng::new(seed, stream);
+        Matrix::random(r, c, &mut rng, i64::MIN, i64::MAX)
+    }
 
     fn random_matrix(r: usize, c: usize, seed: u64) -> Matrix {
         let mut rng = DetRng::new(seed, "mm");
@@ -114,6 +258,92 @@ mod tests {
         let naive = matmul(&a, &b, Kernel::Naive);
         assert_eq!(naive, matmul(&a, &b, Kernel::Blocked));
         assert_eq!(naive, matmul(&a, &b, Kernel::Parallel));
+    }
+
+    #[test]
+    fn every_tier_matches_naive_on_remainder_shapes() {
+        const DIMS: [usize; 8] = [1, 2, 3, 4, 5, 7, 9, 17];
+        for n in DIMS {
+            for k in DIMS {
+                for m in DIMS {
+                    let seed = (n * 10_000 + k * 100 + m) as u64;
+                    assert_all_match_naive(
+                        &full_range(n, k, seed, "a"),
+                        &full_range(k, m, seed, "b"),
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn every_tier_matches_naive_on_rectangular_and_panel_shapes() {
+        // Row counts around the quad and the `Parallel` panel boundaries.
+        for (n, k, m) in [
+            (31, 5, 7),
+            (32, 3, 9),
+            (33, 17, 2),
+            (65, 4, 5),
+            (6, 40, 1),
+            (1, 3, 70),
+        ] {
+            assert_all_match_naive(&full_range(n, k, 7, "a"), &full_range(k, m, 7, "b"));
+        }
+    }
+
+    #[test]
+    fn every_tier_matches_naive_at_paper_scale() {
+        let n = Matrix::PAPER_DIM;
+        let mut rng = DetRng::new(350, "paper");
+        let a = Matrix::paper_random(&mut rng);
+        let b = Matrix::paper_random(&mut rng);
+        assert_all_match_naive(&a, &b);
+        assert_all_match_naive(&full_range(n, n, 350, "a"), &full_range(n, n, 350, "b"));
+        assert_all_match_naive(&full_range(n, 9, 351, "a"), &full_range(9, n, 351, "b"));
+    }
+
+    #[test]
+    fn every_tier_wraps_like_naive_at_the_extremes() {
+        let pattern = [i64::MIN, i64::MAX, -1, 1, i64::MIN + 1, i64::MAX - 1, 0];
+        let extreme = |r: usize, c: usize, shift: usize| {
+            let data = (0..r * c)
+                .map(|i| pattern[(i * 3 + shift) % pattern.len()])
+                .collect();
+            Matrix::from_vec(r, c, data)
+        };
+        for (n, k, m) in [(5, 9, 7), (8, 8, 8), (13, 3, 17)] {
+            assert_all_match_naive(&extreme(n, k, 0), &extreme(k, m, 2));
+        }
+        let min = Matrix::from_vec(4, 4, vec![i64::MIN; 16]);
+        let max = Matrix::from_vec(4, 4, vec![i64::MAX; 16]);
+        assert_all_match_naive(&min, &max);
+        assert_all_match_naive(&max, &max);
+    }
+
+    #[test]
+    fn every_tier_matches_naive_over_a_ten_step_chain() {
+        let (n, k) = (9, 9);
+        let steps: Vec<Matrix> = (0..10).map(|s| full_range(k, k, s, "step")).collect();
+        let start = full_range(n, k, 99, "start");
+        let chain = |mul: &dyn Fn(&Matrix, &Matrix) -> Matrix| {
+            steps.iter().fold(start.clone(), |acc, b| mul(&acc, b))
+        };
+        let want = chain(&|a, b| matmul(a, b, Kernel::Naive));
+        for (name, tier) in tiers() {
+            assert_eq!(chain(&|a, b| run_tier(tier, a, b)), want, "tier {name}");
+        }
+        assert_eq!(chain(&|a, b| matmul(a, b, Kernel::Blocked)), want);
+        assert_eq!(chain(&|a, b| matmul(a, b, Kernel::Parallel)), want);
+    }
+
+    #[test]
+    fn empty_dimensions_give_zero_products() {
+        for (n, k, m) in [(0, 3, 4), (3, 0, 4), (3, 4, 0), (0, 0, 0)] {
+            let a = full_range(n, k, 1, "a");
+            let b = full_range(k, m, 1, "b");
+            assert_eq!(matmul(&a, &b, Kernel::Naive), Matrix::zeros(n, m));
+            assert_all_match_naive(&a, &b);
+        }
     }
 
     #[test]
@@ -143,62 +373,45 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(24))]
 
-        /// (AB)ᵀ = BᵀAᵀ for all kernels.
+        /// (AB)ᵀ = BᵀAᵀ for all kernels, over the whole wrapping domain.
         #[test]
-        fn transpose_antihomomorphism(seed in 0u64..1000, n in 1usize..12, k in 1usize..12, m in 1usize..12) {
-            let a = {
-                let mut rng = DetRng::new(seed, "a");
-                Matrix::random(n, k, &mut rng, -50, 50)
-            };
-            let b = {
-                let mut rng = DetRng::new(seed, "b");
-                Matrix::random(k, m, &mut rng, -50, 50)
-            };
-            let ab_t = matmul(&a, &b, Kernel::Blocked).transpose();
-            let bt_at = matmul(&b.transpose(), &a.transpose(), Kernel::Blocked);
-            prop_assert_eq!(ab_t, bt_at);
+        fn transpose_antihomomorphism(seed in 0u64..1000, n in 1usize..40, k in 1usize..40, m in 1usize..40) {
+            let a = full_range(n, k, seed, "a");
+            let b = full_range(k, m, seed, "b");
+            for kernel in [Kernel::Naive, Kernel::Blocked, Kernel::Parallel] {
+                let ab_t = matmul(&a, &b, kernel).transpose();
+                let bt_at = matmul(&b.transpose(), &a.transpose(), kernel);
+                prop_assert_eq!(ab_t, bt_at);
+            }
         }
 
-        /// A(B+C) = AB + AC (distributivity) via checksums of full matrices.
+        /// A(B+C) = AB + AC (distributivity) mod 2⁶⁴.
         #[test]
-        fn distributive_over_addition(seed in 0u64..1000, n in 1usize..10) {
-            let mk = |s: &str| {
-                let mut rng = DetRng::new(seed, s);
-                Matrix::random(n, n, &mut rng, -30, 30)
+        fn distributive_over_addition(seed in 0u64..1000, n in 1usize..24) {
+            let a = full_range(n, n, seed, "a");
+            let b = full_range(n, n, seed, "b");
+            let c = full_range(n, n, seed, "c");
+            let add = |x: &Matrix, y: &Matrix| {
+                let sum = x.as_slice().iter().zip(y.as_slice()).map(|(p, q)| p.wrapping_add(*q));
+                Matrix::from_vec(n, n, sum.collect())
             };
-            let a = mk("a");
-            let b = mk("b");
-            let c = mk("c");
-            let mut b_plus_c = Matrix::zeros(n, n);
-            for i in 0..n {
-                for j in 0..n {
-                    b_plus_c.set(i, j, b.get(i, j) + c.get(i, j));
-                }
+            for kernel in [Kernel::Naive, Kernel::Blocked, Kernel::Parallel] {
+                let left = matmul(&a, &add(&b, &c), kernel);
+                let right = add(&matmul(&a, &b, kernel), &matmul(&a, &c, kernel));
+                prop_assert_eq!(left, right);
             }
-            let left = matmul(&a, &b_plus_c, Kernel::Naive);
-            let ab = matmul(&a, &b, Kernel::Naive);
-            let ac = matmul(&a, &c, Kernel::Naive);
-            let mut right = Matrix::zeros(n, n);
-            for i in 0..n {
-                for j in 0..n {
-                    right.set(i, j, ab.get(i, j) + ac.get(i, j));
-                }
-            }
-            prop_assert_eq!(left, right);
         }
 
-        /// All three kernels agree on random shapes.
+        /// Every tier and kernel agrees with the naive one on random shapes
+        /// with full-range entries, where nearly every sum wraps.
         #[test]
-        fn kernels_agree_prop(seed in 0u64..1000, n in 1usize..16, k in 1usize..16, m in 1usize..16) {
-            let a = {
-                let mut rng = DetRng::new(seed, "ka");
-                Matrix::random(n, k, &mut rng, -100, 100)
-            };
-            let b = {
-                let mut rng = DetRng::new(seed, "kb");
-                Matrix::random(k, m, &mut rng, -100, 100)
-            };
+        fn kernels_agree_prop(seed in 0u64..1000, n in 1usize..70, k in 1usize..40, m in 1usize..40) {
+            let a = full_range(n, k, seed, "ka");
+            let b = full_range(k, m, seed, "kb");
             let x = matmul(&a, &b, Kernel::Naive);
+            for (_, tier) in tiers() {
+                prop_assert_eq!(&x, &run_tier(tier, &a, &b));
+            }
             prop_assert_eq!(&x, &matmul(&a, &b, Kernel::Blocked));
             prop_assert_eq!(&x, &matmul(&a, &b, Kernel::Parallel));
         }

@@ -1,6 +1,7 @@
 //! Dense integer matrices with the paper's parameters: square matrices of
 //! integers in [-100, 100], 350×350 in the evaluation.
 
+use rand::Rng;
 use swf_simcore::DetRng;
 
 /// A dense row-major `i64` matrix.
@@ -46,8 +47,16 @@ impl Matrix {
 
     /// Random matrix with entries in `[lo, hi]` (the paper: [-100, 100]).
     pub fn random(rows: usize, cols: usize, rng: &mut DetRng, lo: i64, hi: i64) -> Self {
+        // Inclusive sampling: a half-open `lo..hi + 1` wraps at `i64::MAX`.
+        // It draws the same values wherever `hi + 1` does not overflow.
         let data = (0..rows * cols)
-            .map(|_| rng.uniform_i64(lo, hi + 1))
+            .map(|_| {
+                if hi < lo {
+                    lo
+                } else {
+                    rng.raw().gen_range(lo..=hi)
+                }
+            })
             .collect();
         Matrix { rows, cols, data }
     }
@@ -152,6 +161,34 @@ mod tests {
         let b = Matrix::random(10, 10, &mut r2, -100, 100);
         assert_eq!(a, b);
         assert!(a.as_slice().iter().all(|&v| (-100..=100).contains(&v)));
+    }
+
+    #[test]
+    fn random_reaches_i64_max_without_collapsing_to_lo() {
+        // `hi + 1` used to wrap at `i64::MAX`, leaving an empty range that
+        // returned `lo` for every entry (and panicked in debug builds).
+        let mut rng = DetRng::new(11, "max");
+        let m = Matrix::random(3, 3, &mut rng, -5, i64::MAX);
+        assert!(m.as_slice().iter().any(|&v| v != -5), "{m:?}");
+        let mut rng = DetRng::new(11, "top");
+        let m = Matrix::random(8, 8, &mut rng, i64::MAX - 1, i64::MAX);
+        assert!(m.as_slice().contains(&i64::MAX));
+        let mut rng = DetRng::new(11, "full");
+        let m = Matrix::random(8, 8, &mut rng, i64::MIN, i64::MAX);
+        assert!(m.as_slice().iter().any(|&v| v < i64::MIN / 2));
+        assert!(m.as_slice().iter().any(|&v| v > i64::MAX / 2));
+        // An empty range still yields `lo`.
+        assert_eq!(Matrix::random(2, 2, &mut rng, 5, 3).as_slice(), &[5; 4]);
+    }
+
+    #[test]
+    fn random_stream_is_unchanged_for_paper_range() {
+        // Same draws as the half-open `[lo, hi + 1)` sampling it replaced.
+        let mut r1 = DetRng::new(42, "m");
+        let mut r2 = DetRng::new(42, "m");
+        let m = Matrix::random(4, 4, &mut r1, -100, 100);
+        let want: Vec<i64> = (0..16).map(|_| r2.uniform_i64(-100, 101)).collect();
+        assert_eq!(m.as_slice(), want.as_slice());
     }
 
     #[test]
